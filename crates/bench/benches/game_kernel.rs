@@ -1,8 +1,8 @@
 //! Criterion bench: the iterated-game kernel across memory depths.
 //!
-//! Measures one 200-round deterministic game per memory step — the
-//! innermost loop of the whole system, whose cost profile drives Table VI
-//! and Fig 4.
+//! Measures one 200-round game per memory step — the innermost loop of the
+//! whole system, whose cost profile drives Table VI and Fig 4 — for the
+//! deterministic kernel and the sampled (noisy) round loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipd::game::{play, play_deterministic, GameConfig};
@@ -60,6 +60,35 @@ fn bench_stochastic(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+fn bench_stochastic_pure_noisy(c: &mut Criterion) {
+    // The `wellmixed-noisy` benchmark's game: pure memory-3 strategies,
+    // 200 rounds, noise 0.01. Pure moves draw nothing, so the cost is the
+    // round loop plus the two noise draws per round.
+    let cfg = GameConfig {
+        noise: 0.01,
+        ..GameConfig::default()
+    };
+    let space = StateSpace::new(3).unwrap();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let a = Strategy::Pure(PureStrategy::random(space, &mut rng));
+    let b = Strategy::Pure(PureStrategy::random(space, &mut rng));
+    let mut group = c.benchmark_group("game_kernel/stochastic_pure_noisy");
+    group.sample_size(20);
+    group.bench_function(BenchmarkId::from_parameter(3), |bencher| {
+        let mut game_rng = ChaCha8Rng::seed_from_u64(3);
+        bencher.iter(|| {
+            black_box(play(
+                black_box(&space),
+                black_box(&a),
+                &b,
+                &cfg,
+                &mut game_rng,
+            ))
+        });
+    });
     group.finish();
 }
 
@@ -143,7 +172,7 @@ criterion_group! {
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_deterministic, bench_stochastic, bench_cycle_kernel,
-        bench_word_parallel, bench_expected_vs_sampled
+    targets = bench_deterministic, bench_stochastic, bench_stochastic_pure_noisy,
+        bench_cycle_kernel, bench_word_parallel, bench_expected_vs_sampled
 }
 criterion_main!(benches);

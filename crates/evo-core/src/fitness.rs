@@ -38,7 +38,7 @@ use ipd::state::StateSpace;
 use ipd::strategy::{PureStrategy, Strategy};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the game-dynamics phase is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -525,14 +525,14 @@ pub fn evaluate_deduped_cached(
     if let Some(c) = cache {
         c.assert_game(game);
     }
-    // Count multiplicity of each distinct strategy id (BTreeMap: see
+    // The distinct strategy ids in ascending order (BTreeSet: see
     // evaluate_expected for why iteration order matters here).
-    let mut counts: BTreeMap<StratId, f64> = BTreeMap::new();
-    for &id in assignments {
-        *counts.entry(id).or_insert(0.0) += 1.0;
-    }
-    // Already sorted: BTreeMap iterates keys in ascending order.
-    let unique: Vec<StratId> = counts.keys().copied().collect();
+    let unique: Vec<StratId> = assignments
+        .iter()
+        .copied()
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
     let u = unique.len();
     let pos: BTreeMap<StratId, usize> = unique.iter().enumerate().map(|(k, &v)| (v, k)).collect();
     let pures: Vec<&PureStrategy> = unique
@@ -600,17 +600,21 @@ pub fn evaluate_deduped_cached(
             c.insert(unique[p], unique[q], PayoffKind::Sampled, v);
         }
     }
-    // fitness[i] = sum over unique opponents q of count[q] * payoff[strat_i][q].
-    let weighted: Vec<f64> = (0..u)
+    // fitness[i] = sum over opponents j, in assignment order, of
+    // payoff[strat_i][strat_j]: `evaluate`'s order of additions, so the
+    // bits match for any payoff matrix (a `count × payoff` sum over unique
+    // opponents rounds differently once payoffs are non-integral).
+    let columns: Vec<usize> = assignments.iter().map(|id| pos[id]).collect();
+    let row_totals: Vec<f64> = (0..u)
         .map(|p| {
-            unique
-                .iter()
-                .enumerate()
-                .map(|(q, qid)| counts[qid] * payoff[p * u + q])
-                .sum()
+            let mut total = 0.0;
+            for &q in &columns {
+                total += payoff[p * u + q];
+            }
+            total
         })
         .collect();
-    assignments.iter().map(|id| weighted[pos[id]]).collect()
+    columns.iter().map(|&p| row_totals[p]).collect()
 }
 
 #[cfg(test)]
@@ -699,6 +703,52 @@ mod tests {
         let dedup = evaluate_deduped(&space, &asg, &pool, &cfg(), ExecMode::Sequential);
         for i in 0..asg.len() {
             assert!((naive[i] - dedup[i]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn deduped_is_bit_identical_to_evaluate_with_non_integral_payoffs() {
+        // Summing `count × payoff` over unique opponents would reorder the
+        // additions, which moves the low bits once payoffs are non-integral.
+        let game = GameConfig {
+            rounds: 200,
+            noise: 0.0,
+            payoff: PayoffMatrix::from_rstp(3.3, 0.1, 4.7, 1.1),
+        };
+        for mem in [1, 2] {
+            let space = StateSpace::new(mem).unwrap();
+            for seed in 0..40 {
+                let mut pool = StrategyPool::new();
+                let mut rng = stream(seed, Domain::Init, 0, 0);
+                let distinct: Vec<StratId> = (0..4)
+                    .map(|_| pool.intern(Strategy::Pure(PureStrategy::random(space, &mut rng))))
+                    .collect();
+                let asg: Vec<StratId> = (0..24)
+                    .map(|_| distinct[rng.random_range(0..4usize)])
+                    .collect();
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+                let naive = bits(evaluate(
+                    &space,
+                    &asg,
+                    &pool,
+                    &game,
+                    seed,
+                    0,
+                    ExecMode::Sequential,
+                ));
+                let cache = PayoffCache::new(game);
+                for mode in [ExecMode::Sequential, ExecMode::Rayon] {
+                    let dedup = evaluate_deduped(&space, &asg, &pool, &game, mode);
+                    assert_eq!(bits(dedup), naive, "memory-{mem} seed {seed} {mode:?}");
+                    let cached =
+                        evaluate_deduped_cached(&space, &asg, &pool, &game, mode, Some(&cache));
+                    assert_eq!(
+                        bits(cached),
+                        naive,
+                        "memory-{mem} seed {seed} {mode:?} cached"
+                    );
+                }
+            }
         }
     }
 

@@ -125,6 +125,8 @@ pub enum ParamsError {
     BadRate { name: &'static str, value: f64 },
     /// β must be non-negative.
     BadBeta(f64),
+    /// A payoff-matrix entry is NaN or infinite.
+    BadPayoff { name: &'static str, value: f64 },
 }
 
 impl std::fmt::Display for ParamsError {
@@ -140,11 +142,34 @@ impl std::fmt::Display for ParamsError {
                 write!(f, "{name} = {value} is not a probability in [0, 1]")
             }
             ParamsError::BadBeta(b) => write!(f, "selection intensity β = {b} must be ≥ 0"),
+            ParamsError::BadPayoff { name, value } => {
+                write!(f, "payoff {name} = {value} must be finite")
+            }
         }
     }
 }
 
 impl std::error::Error for ParamsError {}
+
+/// Check a game configuration: the noise is a probability in `[0, 1]` and
+/// every payoff entry is finite. Every boundary that accepts a
+/// [`GameConfig`] runs it: [`Params::validate`] and
+/// [`SpatialParams::validate`](crate::spatial::SpatialParams::validate).
+pub fn validate_game(game: &GameConfig) -> Result<(), ParamsError> {
+    if !(0.0..=1.0).contains(&game.noise) {
+        return Err(ParamsError::BadRate {
+            name: "noise",
+            value: game.noise,
+        });
+    }
+    let names = ["reward", "sucker", "temptation", "punishment"];
+    for (name, value) in names.into_iter().zip(game.payoff.as_rstp()) {
+        if !value.is_finite() {
+            return Err(ParamsError::BadPayoff { name, value });
+        }
+    }
+    Ok(())
+}
 
 impl Params {
     /// Validate all fields and derive the state space.
@@ -157,12 +182,12 @@ impl Params {
         for (name, value) in [
             ("pc_rate", self.pc_rate),
             ("mutation_rate", self.mutation_rate),
-            ("noise", self.game.noise),
         ] {
             if !(0.0..=1.0).contains(&value) || value.is_nan() {
                 return Err(ParamsError::BadRate { name, value });
             }
         }
+        validate_game(&self.game)?;
         if self.beta < 0.0 || self.beta.is_nan() {
             return Err(ParamsError::BadBeta(self.beta));
         }
@@ -301,6 +326,37 @@ mod tests {
         let mut bad_noise = ok.clone();
         bad_noise.game.noise = 2.0;
         assert!(bad_noise.validate().is_err());
+        bad_noise.game.noise = f64::NAN;
+        assert!(matches!(
+            bad_noise.validate(),
+            Err(ParamsError::BadRate { name: "noise", .. })
+        ));
+    }
+
+    #[test]
+    fn non_finite_payoffs_are_typed_errors() {
+        let ok = Params::default();
+        for value in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let mut bad = ok.clone();
+            bad.game.payoff.temptation = value;
+            assert!(matches!(
+                bad.validate(),
+                Err(ParamsError::BadPayoff {
+                    name: "temptation",
+                    ..
+                })
+            ));
+        }
+        // JSON number overflow parses to +inf; validation must catch it.
+        let json = serde_json::to_string(&ok)
+            .unwrap()
+            .replace("\"reward\":3.0", "\"reward\":1e999");
+        let parsed: Params = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed.game.payoff.reward, f64::INFINITY);
+        assert!(matches!(
+            parsed.validate(),
+            Err(ParamsError::BadPayoff { name: "reward", .. })
+        ));
     }
 
     #[test]

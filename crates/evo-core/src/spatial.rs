@@ -43,6 +43,7 @@
 use crate::engine::{EvalScope, FitnessProvider, FitnessView, GenPlan, Provided};
 use crate::fitness::GameKernel;
 use crate::graph::{GraphScope, GraphView, Lattice};
+use crate::params::validate_game;
 use crate::paycache::{PayoffCache, PayoffKind};
 use crate::pool::{StratId, StrategyPool};
 use crate::record::{GenerationRecord, PopulationSnapshot, RunStats};
@@ -132,7 +133,8 @@ impl SpatialParams {
                 return Err(format!("Fermi beta must be finite and ≥ 0, got {beta}"));
             }
         }
-        Ok(())
+        StateSpace::new(self.mem_steps).map_err(|e| e.to_string())?;
+        validate_game(&self.game).map_err(|e| e.to_string())
     }
 
     /// The torus topology these parameters describe.

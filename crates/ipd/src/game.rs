@@ -10,14 +10,15 @@
 //!    (§III-E),
 //! 4. payoffs accrue per the matrix, and both views roll forward.
 //!
-//! The paper's agent computes *both* plays from a single `current_view` by
-//! evaluating the view from each perspective; we keep two mirrored views,
-//! which is equivalent (property-tested in [`crate::history`]) and avoids
-//! the per-round perspective swap.
+//! The paper's agent searches an explicit `current_view` window for its
+//! state and evaluates it from each perspective. Here each player's view is
+//! just its packed [`StateId`], rolled forward by [`StateSpace::advance`]
+//! with no allocation; [`HistoryView`] keeps the explicit window only for
+//! the paper-faithful [`StateLookup::LinearScan`] ablation.
 
 use crate::history::HistoryView;
 use crate::payoff::{Move, PayoffMatrix};
-use crate::state::{StateSpace, StateTable};
+use crate::state::{StateId, StateSpace, StateTable};
 use crate::strategy::{PureStrategy, Strategy};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -108,7 +109,7 @@ pub fn play<R: Rng + ?Sized>(
     config: &GameConfig,
     rng: &mut R,
 ) -> GameOutcome {
-    play_with_lookup(space, a, b, config, StateLookup::Rolling, rng)
+    sampled_game(space, a, b, config, &mut (), rng)
 }
 
 /// Play one iterated game with an explicit state-lookup mode (used by the
@@ -121,10 +122,72 @@ pub fn play_with_lookup<R: Rng + ?Sized>(
     lookup: StateLookup<'_>,
     rng: &mut R,
 ) -> GameOutcome {
+    match lookup {
+        StateLookup::Rolling => sampled_game(space, a, b, config, &mut (), rng),
+        StateLookup::LinearScan(table) => {
+            let mut scan = ScanViews(table, HistoryView::new(*space), HistoryView::new(*space));
+            sampled_game(space, a, b, config, &mut scan, rng)
+        }
+    }
+}
+
+/// Per-round hooks of [`sampled_game`]. The defaults do nothing, so plain
+/// [`play`] (`()`) compiles to the bare round loop.
+trait RoundHooks {
+    /// The states the players decide from, given their rolling states.
+    #[inline]
+    fn locate(&mut self, state_a: StateId, state_b: StateId) -> (StateId, StateId) {
+        (state_a, state_b)
+    }
+
+    /// Observe one round's moves, after noise.
+    #[inline]
+    fn record(&mut self, _move_a: Move, _move_b: Move) {}
+}
+
+impl RoundHooks for () {}
+
+/// [`play_transcript`] keeps every round's move pair.
+impl RoundHooks for Vec<(Move, Move)> {
+    fn record(&mut self, move_a: Move, move_b: Move) {
+        self.push((move_a, move_b));
+    }
+}
+
+/// [`StateLookup::LinearScan`]: each player keeps the paper's explicit
+/// `current_view` and searches the state table for it every round.
+struct ScanViews<'a>(&'a StateTable, HistoryView, HistoryView);
+
+impl RoundHooks for ScanViews<'_> {
+    fn locate(&mut self, _: StateId, _: StateId) -> (StateId, StateId) {
+        (
+            self.1.find_state_linear(self.0),
+            self.2.find_state_linear(self.0),
+        )
+    }
+
+    fn record(&mut self, move_a: Move, move_b: Move) {
+        self.1.record(move_a, move_b);
+        self.2.record(move_b, move_a);
+    }
+}
+
+/// The one sampled-game round loop. Each player's state is a packed
+/// [`StateId`] rolled forward with [`StateSpace::advance`]; per round the
+/// RNG is drawn in a fixed order (A's move, B's move, A's noise, B's
+/// noise) and payoffs are summed in round order.
+fn sampled_game<R: Rng + ?Sized, H: RoundHooks>(
+    space: &StateSpace,
+    a: &Strategy,
+    b: &Strategy,
+    config: &GameConfig,
+    hooks: &mut H,
+    rng: &mut R,
+) -> GameOutcome {
     debug_assert_eq!(a.space(), space, "strategy A space mismatch");
     debug_assert_eq!(b.space(), space, "strategy B space mismatch");
-    let mut view_a = HistoryView::new(*space);
-    let mut view_b = HistoryView::new(*space);
+    let mut state_a = space.initial_state();
+    let mut state_b = space.initial_state();
     let mut out = GameOutcome {
         fitness_a: 0.0,
         fitness_b: 0.0,
@@ -133,15 +196,9 @@ pub fn play_with_lookup<R: Rng + ?Sized>(
         rounds: config.rounds,
     };
     for _ in 0..config.rounds {
-        let (state_a, state_b) = match lookup {
-            StateLookup::Rolling => (view_a.state(), view_b.state()),
-            StateLookup::LinearScan(table) => (
-                view_a.find_state_linear(table),
-                view_b.find_state_linear(table),
-            ),
-        };
-        let mut move_a = a.decide(state_a, rng);
-        let mut move_b = b.decide(state_b, rng);
+        let (at_a, at_b) = hooks.locate(state_a, state_b);
+        let mut move_a = a.decide(at_a, rng);
+        let mut move_b = b.decide(at_b, rng);
         if config.noise > 0.0 {
             if rng.random::<f64>() < config.noise {
                 move_a = move_a.flipped();
@@ -155,8 +212,9 @@ pub fn play_with_lookup<R: Rng + ?Sized>(
         out.fitness_b += pb;
         out.coop_a += move_a.is_cooperate() as u32;
         out.coop_b += move_b.is_cooperate() as u32;
-        view_a.record(move_a, move_b);
-        view_b.record(move_b, move_a);
+        hooks.record(move_a, move_b);
+        state_a = space.advance(state_a, move_a, move_b);
+        state_b = space.advance(state_b, move_b, move_a);
     }
     obs::counters().add_game(config.rounds);
     out
@@ -251,38 +309,9 @@ pub fn play_transcript<R: Rng + ?Sized>(
     config: &GameConfig,
     rng: &mut R,
 ) -> Transcript {
-    let mut view_a = HistoryView::new(*space);
-    let mut view_b = HistoryView::new(*space);
     let mut moves = Vec::with_capacity(config.rounds as usize);
-    let mut out = GameOutcome {
-        fitness_a: 0.0,
-        fitness_b: 0.0,
-        coop_a: 0,
-        coop_b: 0,
-        rounds: config.rounds,
-    };
-    for _ in 0..config.rounds {
-        let mut move_a = a.decide(view_a.state(), rng);
-        let mut move_b = b.decide(view_b.state(), rng);
-        if config.noise > 0.0 {
-            if rng.random::<f64>() < config.noise {
-                move_a = move_a.flipped();
-            }
-            if rng.random::<f64>() < config.noise {
-                move_b = move_b.flipped();
-            }
-        }
-        let (pa, pb) = config.payoff.payoffs(move_a, move_b);
-        out.fitness_a += pa;
-        out.fitness_b += pb;
-        out.coop_a += move_a.is_cooperate() as u32;
-        out.coop_b += move_b.is_cooperate() as u32;
-        moves.push((move_a, move_b));
-        view_a.record(move_a, move_b);
-        view_b.record(move_b, move_a);
-    }
-    obs::counters().add_game(config.rounds);
-    Transcript { moves, outcome: out }
+    let outcome = sampled_game(space, a, b, config, &mut moves, rng);
+    Transcript { moves, outcome }
 }
 
 /// Play a deterministic game with **cycle detection**: a noiseless game

@@ -4,10 +4,15 @@
 //! moves made by both players in the last *n* rounds. During each round the
 //! agent "determines the current state by searching the list of defined
 //! potential states for a match to the current_view". [`HistoryView`] keeps
-//! that explicit window *and* a rolling O(1) state index, so both the
-//! paper-faithful linear lookup and the optimised direct lookup can be used
-//! and compared (the `state_lookup` ablation bench measures the gap that
-//! explains the paper's Fig 4 runtime growth).
+//! that explicit window *and* a rolling O(1) state index.
+//!
+//! The game loop in [`crate::game`] does not use it: each player's view
+//! there is only its packed state id, rolled forward by
+//! [`StateSpace::advance`]. [`HistoryView`] now serves only the
+//! paper-faithful [`StateLookup::LinearScan`](crate::game::StateLookup)
+//! ablation, which the `state_lookup` bench and `cluster::perf`
+//! calibration use to measure the gap that explains the paper's Fig 4
+//! runtime growth.
 
 use crate::payoff::Move;
 use crate::state::{StateId, StateSpace, StateTable};

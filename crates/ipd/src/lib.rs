@@ -13,9 +13,9 @@
 //! - [`state`] — the memory-*n* state space: encoding of the last *n* rounds
 //!   into a state id, perspective swaps, and the materialised state table the
 //!   paper searches linearly.
-//! - [`history`] — each agent's `current_view` of the game: a rolling window
-//!   over the last *n* rounds with both the paper's linear `find_state`
-//!   lookup and an O(1) rolling index.
+//! - [`history`] — each agent's explicit `current_view` of the game: a
+//!   rolling window over the last *n* rounds for the paper's linear
+//!   `find_state` lookup, used only by the `LinearScan` ablation.
 //! - [`strategy`] — bit-packed pure strategies and probabilistic mixed
 //!   strategies over the state space.
 //! - [`classic`] — named strategies (ALLC, ALLD, TFT, WSLS, GTFT, GRIM, …)

@@ -1,12 +1,14 @@
 //! Property-based tests for the IPD substrate's core invariants.
 
-use ipd::game::{play, play_deterministic, play_with_lookup, GameConfig, StateLookup};
+use ipd::game::{
+    play, play_deterministic, play_transcript, play_with_lookup, GameConfig, StateLookup,
+};
 use ipd::history::HistoryView;
 use ipd::payoff::Move;
 use ipd::state::{StateSpace, StateTable};
 use ipd::strategy::{MixedStrategy, PureStrategy, Strategy as IpdStrategy};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn arb_move() -> impl Strategy<Value = Move> {
@@ -20,6 +22,24 @@ fn arb_space() -> impl Strategy<Value = StateSpace> {
 /// Spaces small enough to materialise state tables cheaply in proptest loops.
 fn arb_small_space() -> impl Strategy<Value = StateSpace> {
     (0usize..=4).prop_map(|n| StateSpace::new(n).unwrap())
+}
+
+/// Execution noise: exactly zero (the draw-free branch) or positive.
+fn arb_noise() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), 0.001f64..0.5]
+}
+
+/// Two random players from `seed`; `mixed.0`/`mixed.1` pick each one's kind.
+fn random_players(space: StateSpace, mixed: (bool, bool), seed: u64) -> (IpdStrategy, IpdStrategy) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut player = |mixed: bool| {
+        if mixed {
+            IpdStrategy::Mixed(MixedStrategy::random(space, &mut rng))
+        } else {
+            IpdStrategy::Pure(PureStrategy::random(space, &mut rng))
+        }
+    };
+    (player(mixed.0), player(mixed.1))
 }
 
 proptest! {
@@ -130,21 +150,57 @@ proptest! {
         prop_assert_eq!(det, mixed);
     }
 
-    /// Rolling vs linear-scan lookup modes produce identical games when fed
-    /// identical RNG streams.
+    /// The shared round loop (rolling lookup) and the paper's linear scan
+    /// over `HistoryView` windows play identical games and consume the
+    /// same draws when fed identical RNG streams — for pure and mixed
+    /// players, with and without noise, at every round count.
     #[test]
-    fn lookup_modes_identical(seed in any::<u64>(), n in 1usize..=3) {
+    fn lookup_modes_identical(
+        seed in any::<u64>(),
+        n in 0usize..=4,
+        mixed in (any::<bool>(), any::<bool>()),
+        noise in arb_noise(),
+        rounds in 0u32..=64,
+    ) {
         let space = StateSpace::new(n).unwrap();
         let table = StateTable::new(space);
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let a = IpdStrategy::Mixed(MixedStrategy::random(space, &mut rng));
-        let b = IpdStrategy::Mixed(MixedStrategy::random(space, &mut rng));
-        let cfg = GameConfig { rounds: 32, noise: 0.05, ..GameConfig::default() };
+        let (a, b) = random_players(space, mixed, seed);
+        let cfg = GameConfig { rounds, noise, ..GameConfig::default() };
         let mut r1 = ChaCha8Rng::seed_from_u64(seed ^ 0xabcd);
         let mut r2 = ChaCha8Rng::seed_from_u64(seed ^ 0xabcd);
         let fast = play_with_lookup(&space, &a, &b, &cfg, StateLookup::Rolling, &mut r1);
         let slow = play_with_lookup(&space, &a, &b, &cfg, StateLookup::LinearScan(&table), &mut r2);
         prop_assert_eq!(fast, slow);
+        prop_assert_eq!(fast.fitness_a.to_bits(), slow.fitness_a.to_bits());
+        prop_assert_eq!(fast.fitness_b.to_bits(), slow.fitness_b.to_bits());
+        prop_assert_eq!(r1.random::<u64>(), r2.random::<u64>(), "streams diverged");
+    }
+
+    /// A transcript's outcome is exactly what `play` returns on an equal
+    /// stream, and its moves add up to that outcome's cooperation counts.
+    #[test]
+    fn transcript_outcome_equals_play(
+        seed in any::<u64>(),
+        n in 0usize..=4,
+        mixed in (any::<bool>(), any::<bool>()),
+        noise in arb_noise(),
+        rounds in 0u32..=64,
+    ) {
+        let space = StateSpace::new(n).unwrap();
+        let (a, b) = random_players(space, mixed, seed);
+        let cfg = GameConfig { rounds, noise, ..GameConfig::default() };
+        let mut r1 = ChaCha8Rng::seed_from_u64(seed ^ 0x5a5a);
+        let mut r2 = ChaCha8Rng::seed_from_u64(seed ^ 0x5a5a);
+        let t = play_transcript(&space, &a, &b, &cfg, &mut r1);
+        let o = play(&space, &a, &b, &cfg, &mut r2);
+        prop_assert_eq!(t.outcome, o);
+        prop_assert_eq!(t.outcome.fitness_a.to_bits(), o.fitness_a.to_bits());
+        prop_assert_eq!(t.outcome.fitness_b.to_bits(), o.fitness_b.to_bits());
+        prop_assert_eq!(t.moves.len(), rounds as usize);
+        let coop_a = t.moves.iter().filter(|(m, _)| m.is_cooperate()).count();
+        let coop_b = t.moves.iter().filter(|(_, m)| m.is_cooperate()).count();
+        prop_assert_eq!((coop_a as u32, coop_b as u32), (o.coop_a, o.coop_b));
+        prop_assert_eq!(r1.random::<u64>(), r2.random::<u64>(), "streams diverged");
     }
 
     /// Games are reproducible: same seed, same outcome (the determinism

@@ -383,6 +383,36 @@ mod tests {
             Err(AdmitError::Invalid { ref reason }) if reason.starts_with("spatial init:")
         ));
 
+        // Game and memory settings a worker could not build a lattice from
+        // are rejected at admission, not left to panic on the worker.
+        let spoiled = |spoil: fn(&mut SpatialParams)| {
+            let mut params = SpatialParams::default();
+            spoil(&mut params);
+            params
+        };
+        for (id, params) in [
+            ("sp-noise-nan", spoiled(|p| p.game.noise = f64::NAN)),
+            ("sp-noise-2", spoiled(|p| p.game.noise = 2.0)),
+            ("sp-mem-40", spoiled(|p| p.mem_steps = 40)),
+            (
+                "sp-payoff-inf",
+                spoiled(|p| p.game.payoff.reward = f64::INFINITY),
+            ),
+            (
+                "sp-payoff-nan",
+                spoiled(|p| p.game.payoff.sucker = f64::NAN),
+            ),
+        ] {
+            let request = JobRequest::new_spatial(id, params, InitPattern::SingleDefector);
+            assert!(
+                matches!(
+                    q.admit(request),
+                    Err(AdmitError::Invalid { ref reason }) if reason.starts_with("spatial params:")
+                ),
+                "{id} was admitted"
+            );
+        }
+
         // The well-mixed params are documented as ignored for spatial
         // jobs — an invalid (defaulted-over) Params must not block one.
         let mut ok = JobRequest::new_spatial(

@@ -230,6 +230,14 @@ grep -q "retried 1" "$SV_DIR/err1" \
     || { echo "verify: FAIL — retry counter does not show the auto-resume" >&2; exit 1; }
 echo "serve smoke: 5/5 receipts, one auto-retry, spatial backends agree, resubmission bit-identical"
 
+echo "== benchmark oracle: perfbench smoke mode vs perfbench/reference.txt =="
+# The end-to-end benchmark (perfbench/README.md) checks every workload's
+# state digests and record hashes against its committed reference corpus.
+# Its own tests run each workload in smoke mode (tiny sizes) through that
+# oracle, so a kernel or RNG change that moves a digest fails here, not
+# only when the benchmark is run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 if [ "${VERIFY_BENCH:-0}" = "1" ]; then
     echo "== perf: committed baseline regression gate (opt-in) =="
     # Re-runs the committed criterion suites and compares against the
